@@ -22,6 +22,7 @@ approach explainable and cheaply re-labelable on a new architecture.
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 
 import numpy as np
@@ -73,7 +74,14 @@ class ClusterFormatSelector:
         Cluster count for K-Means/Birch (the NC column of Tables 4/5).
     pipeline
         Feature preprocessing; defaults to the paper's log + min-max +
-        PCA-8 pipeline.
+        PCA-8 pipeline.  Fitted on the training features unless it is
+        already fitted.
+    label_model
+        The LR/RF labeler's model, shared by selectors that cluster the
+        same training set in the same feature space (Table 4 reuses one
+        per fold).  Fitted on the first whole-training-set labeling
+        unless it is already fitted; a labeling from partial or source
+        evidence (``benchmarked`` / ``source_y``) fits its own model.
     """
 
     def __init__(
@@ -83,6 +91,7 @@ class ClusterFormatSelector:
         n_clusters: int | None = 100,
         pipeline: FeaturePipeline | None = None,
         seed: int = 0,
+        label_model=None,
     ) -> None:
         if isinstance(clusterer, str) and clusterer not in CLUSTERERS:
             raise ValueError(
@@ -97,6 +106,7 @@ class ClusterFormatSelector:
         self.n_clusters = n_clusters
         self.pipeline = pipeline
         self.seed = seed
+        self.label_model = label_model
 
     # -- stage 1: architecture-invariant clustering -----------------------
 
@@ -192,7 +202,8 @@ class ClusterFormatSelector:
             labels = self._label_by_vote(ev_assign, ev_y, global_majority)
         else:
             ev_Z = np.vstack(parts_Z)
-            labels = self._label_by_model(ev_Z, ev_y)
+            whole = benchmarked is None and source_y is None
+            labels = self._label_by_model(ev_Z, ev_y, whole)
         self.cluster_labels_ = np.asarray(labels, dtype=object)
         return self
 
@@ -212,9 +223,15 @@ class ClusterFormatSelector:
                 labels.append(fallback)
         return labels
 
-    def _label_by_model(self, Z: np.ndarray, y: np.ndarray) -> list[str]:
-        model = self._make_label_model()
-        model.fit(Z, y)
+    def _label_by_model(
+        self, Z: np.ndarray, y: np.ndarray, whole: bool
+    ) -> list[str]:
+        model = self.label_model if whole else None
+        if model is None:
+            model = self._make_label_model()
+        if not hasattr(model, "classes_"):
+            model.fit(Z, y)
+        self.label_model_ = model
         return list(model.predict(self.centroids_))
 
     def _make_label_model(self):
@@ -223,6 +240,26 @@ class ClusterFormatSelector:
         return RandomForestClassifier(
             n_estimators=100, max_depth=6, seed=self.seed
         )
+
+    def relabeled(
+        self, labeler: str, label_model=None
+    ) -> "ClusterFormatSelector":
+        """A copy sharing this selector's clusters, to label with ``labeler``.
+
+        Clustering never sees labels, so every labeler of one clustering
+        can start from the same stage-1 state instead of re-clustering.
+        """
+        self._require_clustered()
+        if labeler not in LABELERS:
+            raise ValueError(
+                f"unknown labeler {labeler!r}; choose from {LABELERS}"
+            )
+        other = copy.copy(self)
+        other.labeler = labeler
+        other.label_model = label_model
+        for attr in ("cluster_labels_", "label_model_"):
+            other.__dict__.pop(attr, None)
+        return other
 
     # -- convenience: both stages at once -----------------------------------
 

@@ -270,14 +270,27 @@ class TieredSelector:
             centroid=centroid,
         )
 
+    def stage1_from_lengths(
+        self, nrows: int, ncols: int, nnz: int, row_counts: np.ndarray
+    ) -> tuple[TierDecision | None, float]:
+        """Stage 1 from the row-length histogram; None = escalate.
+
+        A matrix with no entries has no row-length moments for stage 1
+        to read, so it always escalates: its answer is the full
+        pipeline's, as ``repro predict`` gives it.
+        """
+        if nnz == 0:
+            return None, float("nan")
+        return self.stage1_with_margin(
+            cheap_features_from_lengths(nrows, ncols, nnz, row_counts)
+        )
+
     def select(self, matrix: COOMatrix) -> TierDecision:
         """Tiered selection for an in-memory canonical COO matrix."""
         with TELEMETRY.span("select.tier1"):
-            nrows, ncols = matrix.shape
-            cheap = cheap_features_from_lengths(
-                nrows, ncols, matrix.nnz, matrix.row_lengths()
+            decision, margin = self.stage1_from_lengths(
+                *matrix.shape, matrix.nnz, matrix.row_lengths()
             )
-            decision, margin = self.stage1_with_margin(cheap)
         if decision is not None:
             return self.account(decision)
         with TELEMETRY.span("select.escalate"):
@@ -331,11 +344,12 @@ class TieredSelector:
                         row_counts += np.bincount(m_rows, minlength=nrows)
                         nnz += m_rows.shape[0]
                         key_chunks.append(m_rows * ncols + m_cols)
-                keys = (
-                    np.concatenate(key_chunks)
-                    if len(key_chunks) != 1
-                    else key_chunks[0]
-                )
+                if len(key_chunks) == 1:
+                    keys = key_chunks[0]
+                else:  # no chunks at all when the file has no entries
+                    keys = np.concatenate(
+                        key_chunks or [np.empty(0, dtype=np.int64)]
+                    )
                 keys.sort()
                 if keys.size and (keys[1:] == keys[:-1]).any():
                     # Canonicalisation collapses duplicates: recount the
@@ -348,10 +362,9 @@ class TieredSelector:
                         keys // ncols, minlength=nrows
                     )
                     nnz = int(keys.shape[0])
-                cheap = cheap_features_from_lengths(
+                decision, margin = self.stage1_from_lengths(
                     nrows, ncols, nnz, row_counts
                 )
-                decision, margin = self.stage1_with_margin(cheap)
         if decision is not None:
             return self.account(decision)
         with TELEMETRY.span("select.escalate"):

@@ -283,22 +283,25 @@ def scale_free_graph(
     does not depend on networkx; networkx remains a dev-convenience for the
     examples.
     """
-    targets = list(range(m_attach))
-    repeated: list[int] = []
+    # Endpoint pool: every edge end so far, filled in place.  Drawing
+    # ``repeated[rng.integers(0, fill, m)]`` gives the values and leaves
+    # the RNG state of ``rng.choice(repeated[:fill], m, replace=True)``.
+    repeated = np.empty(2 * m_attach * max(n - m_attach, 0), dtype=np.int64)
+    fill = 0
     src_list: list[int] = []
     dst_list: list[int] = []
     for v in range(m_attach, n):
-        if repeated:
-            pool = np.asarray(repeated)
-            chosen = rng.choice(pool, size=m_attach, replace=True)
+        if fill:
+            chosen = repeated[rng.integers(0, fill, m_attach)]
         else:
-            chosen = np.asarray(targets[:m_attach])
+            chosen = np.arange(m_attach)
         chosen = np.unique(chosen)
-        for t in chosen:
-            src_list.append(v)
-            dst_list.append(int(t))
-        repeated.extend(int(t) for t in chosen)
-        repeated.extend([v] * len(chosen))
+        k = chosen.shape[0]
+        src_list.extend([v] * k)
+        dst_list.extend(chosen.tolist())
+        repeated[fill:fill + k] = chosen
+        repeated[fill + k:fill + 2 * k] = v
+        fill += 2 * k
     src = np.asarray(src_list, dtype=INDEX_DTYPE)
     dst = np.asarray(dst_list, dtype=INDEX_DTYPE)
     rows = np.concatenate([src, dst])

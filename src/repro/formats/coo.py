@@ -164,14 +164,21 @@ def _canonicalise(
     """Sort triples row-major and sum duplicates."""
     if rows.size == 0:
         return rows, cols, vals
-    # Row-major order: lexsort's last key is primary.
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    # Collapse duplicates (same row and col) by summation.
-    keys = rows * shape[1] + cols
-    is_first = np.empty(keys.shape, dtype=bool)
+    is_first = np.empty(rows.shape, dtype=bool)
     is_first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=is_first[1:])
+    if shape[0] * shape[1] <= np.iinfo(np.int64).max:
+        # Row-major order: a stable sort of the int64 row-major key is the
+        # order of ``lexsort((cols, rows))``, ties (duplicates) included.
+        keys = rows * shape[1] + cols
+        order = np.argsort(keys, kind="stable")
+        rows, cols, vals, keys = rows[order], cols[order], vals[order], keys[order]
+        np.not_equal(keys[1:], keys[:-1], out=is_first[1:])
+    else:
+        # The key would overflow (forged-header scale): sort by pairs.
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        is_first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    # Collapse duplicates (same row and col) by summation.
     if is_first.all():
         return rows, cols, vals
     group_ids = np.cumsum(is_first) - 1

@@ -496,13 +496,9 @@ class SelectorServer:
             if injector.fails(key, attempt=0):
                 raise InferenceFault(f"injected inference failure for {key!r}")
         with TELEMETRY.span("select.tier1"):
-            nrows, ncols = matrix.shape
-            from repro.features.extract import cheap_features_from_lengths
-
-            cheap = cheap_features_from_lengths(
-                nrows, ncols, matrix.nnz, matrix.row_lengths()
+            decision, margin = tiered.stage1_from_lengths(
+                *matrix.shape, matrix.nnz, matrix.row_lengths()
             )
-            decision, margin = tiered.stage1_with_margin(cheap)
         distance = None
         if decision is None:
             with TELEMETRY.span("select.escalate"):

@@ -133,6 +133,54 @@ class TestClusterFormatSelector:
                 volta.labels, benchmarked=np.zeros(len(volta), dtype=bool)
             )
 
+    @pytest.mark.parametrize("labeler", ["lr", "rf"])
+    def test_prefit_label_model_is_reused_not_refit(self, volta, labeler):
+        first = ClusterFormatSelector("kmeans", labeler, 10, seed=0)
+        first.fit(volta.X, volta.labels)
+        model = first.label_model_
+        second = ClusterFormatSelector(
+            "birch", labeler, 6, pipeline=first.pipeline_, seed=0,
+            label_model=model,
+        )
+        fresh = ClusterFormatSelector(
+            "birch", labeler, 6, pipeline=first.pipeline_, seed=0
+        )
+        model.fit = None  # a refit would raise
+        second.fit(volta.X, volta.labels)
+        fresh.fit(volta.X, volta.labels)
+        assert second.label_model_ is model
+        np.testing.assert_array_equal(
+            second.cluster_labels_, fresh.cluster_labels_
+        )
+
+    def test_partial_evidence_fits_its_own_label_model(self, volta):
+        shared = ClusterFormatSelector("kmeans", "lr", 10, seed=0)
+        shared.fit(volta.X, volta.labels)
+        sel = ClusterFormatSelector(
+            "kmeans", "lr", 10, seed=0, label_model=shared.label_model_
+        )
+        sel.fit_clusters(volta.X)
+        sel.label_clusters(volta.labels, benchmarked=np.arange(20))
+        assert sel.label_model_ is not shared.label_model_
+
+    def test_relabeled_shares_clusters(self, volta):
+        base = ClusterFormatSelector("kmeans", "vote", 10, seed=0)
+        base.fit(volta.X, volta.labels)
+        other = base.relabeled("rf")
+        assert other.labeler == "rf" and base.labeler == "vote"
+        assert other.train_assignments_ is base.train_assignments_
+        assert not hasattr(other, "cluster_labels_")
+        other.label_clusters(volta.labels)
+        direct = ClusterFormatSelector("kmeans", "rf", 10, seed=0)
+        direct.fit(volta.X, volta.labels)
+        np.testing.assert_array_equal(
+            other.cluster_labels_, direct.cluster_labels_
+        )
+        with pytest.raises(ValueError):
+            base.relabeled("svm")
+        with pytest.raises(NotFittedError):
+            ClusterFormatSelector("kmeans", "vote", 10).relabeled("lr")
+
     def test_more_clusters_higher_purity(self, volta):
         from repro.core.purity import cluster_purity
 

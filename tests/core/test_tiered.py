@@ -152,3 +152,17 @@ def test_decision_fields(tiered):
     assert isinstance(decision.format, str) and decision.format
     assert isinstance(decision.centroid, int)
     assert isinstance(decision.margin, float)
+
+
+def test_empty_matrix_escalates_in_memory_and_streamed(frozen, tiered, tmp_path):
+    """nnz=0 has no row-length moments: both paths give the full answer."""
+    from repro.formats.coo import COOMatrix
+
+    empty = COOMatrix.empty((5, 7))
+    path = tmp_path / "empty.mtx"
+    write_matrix_market(empty, path)
+    full = int(frozen.assign(extract_features(empty)[None, :])[0])
+    for decision in (tiered.select(empty), tiered.select_stream(str(path))):
+        assert decision.tier == 2
+        assert decision.centroid == full
+        assert decision.format == str(frozen.centroid_labels[full])

@@ -162,3 +162,36 @@ def test_rectangular_shape(rng):
     m = rectangular(rng, nrows=500, ncols=64, nnz_per_row=4)
     assert m.shape == (500, 64)
     assert np.all(m.cols < 64)
+
+
+def _scale_free_reference(rng, n, m_attach):
+    """The list-based attachment loop: ``rng.choice`` over every edge end."""
+    repeated, src, dst = [], [], []
+    for v in range(m_attach, n):
+        if repeated:
+            chosen = rng.choice(np.asarray(repeated), m_attach, replace=True)
+        else:
+            chosen = np.arange(m_attach)
+        chosen = np.unique(chosen)
+        src += [v] * len(chosen)
+        dst += chosen.tolist()
+        repeated += chosen.tolist() + [v] * len(chosen)
+    return src, dst
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_scale_free_edge_draws_match_the_list_reference(seed, monkeypatch):
+    """Same edges and same RNG state left as the list-based loop."""
+    from repro.datasets import generators
+
+    seen = {}
+    monkeypatch.setattr(
+        generators, "_dedup_coo",
+        lambda shape, rows, cols, rng: seen.update(rows=rows, cols=cols),
+    )
+    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    scale_free_graph(ours, n=200, m_attach=3)
+    src, dst = _scale_free_reference(ref, 200, 3)
+    np.testing.assert_array_equal(seen["rows"], src + dst)
+    np.testing.assert_array_equal(seen["cols"], dst + src)
+    assert ours.bit_generator.state == ref.bit_generator.state

@@ -1,12 +1,22 @@
 """Table generators: every table produces well-formed, in-range rows."""
 
+from collections import Counter
+
 import pytest
 
+from repro.core.pipeline import FeaturePipeline
 from repro.experiments import table2, table3, table4, table5, table6, table7, table8, table9
 from repro.experiments.common import TableResult
-from repro.experiments.table4 import COMBO_NAMES, best_nc, evaluate_combo
+from repro.experiments.table4 import (
+    COMBO_NAMES,
+    FoldContext,
+    best_nc,
+    evaluate_combo,
+)
 from repro.experiments.table5 import transfer_pairs
 from repro.experiments.table7 import transfer_scenarios
+from repro.ml.logistic import LogisticRegression
+from repro.ml.tree import DecisionTreeClassifier
 
 
 class TestTableResult:
@@ -86,6 +96,42 @@ class TestTable4:
             assert -1 <= mcc <= 1
         for acc in result.column("ACC"):
             assert 0 <= acc <= 1
+
+    def test_generation_fits_once_per_fold(self, tiny_data, monkeypatch):
+        """One pipeline and one LR/RF label model per (arch, fold)."""
+        calls = Counter()
+        for cls in (FeaturePipeline, LogisticRegression, DecisionTreeClassifier):
+            fit = cls.__dict__["fit"]
+
+            def counted(self, *args, _fit=fit, _name=cls.__name__, **kwargs):
+                calls[_name] += 1
+                return _fit(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "fit", counted)
+        table4.generate(tiny_data)
+        per_fold = len(tiny_data.arch_names) * tiny_data.config.n_folds
+        assert calls["FeaturePipeline"] == per_fold
+        assert calls["LogisticRegression"] == per_fold
+        assert calls["DecisionTreeClassifier"] == per_fold * 100
+
+    def test_shared_folds_score_like_fresh_fits(self, tiny_data):
+        ds = tiny_data.datasets["volta"]
+        folds = FoldContext(ds, 3, seed=0)
+        combos = [("kmeans", "lr", 10), ("birch", "lr", 10),
+                  ("kmeans", "rf", 25), ("kmeans", "vote", 25)]
+        shared = [evaluate_combo(ds, c, l, nc, 3, folds=folds)
+                  for c, l, nc in combos]
+        fresh = [evaluate_combo(ds, c, l, nc, 3) for c, l, nc in combos]
+        assert shared == fresh
+
+    def test_folds_must_match_the_call(self, tiny_data):
+        ds = tiny_data.datasets["volta"]
+        folds = FoldContext(ds, 3, seed=0)
+        with pytest.raises(ValueError):
+            evaluate_combo(ds, "kmeans", "vote", 10, 3, seed=1, folds=folds)
+        with pytest.raises(ValueError):
+            evaluate_combo(tiny_data.datasets["pascal"], "kmeans", "vote",
+                           10, 3, folds=folds)
 
 
 class TestTable5:

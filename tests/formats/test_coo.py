@@ -111,3 +111,32 @@ def test_permute_rejects_non_permutation(small_coo):
 def test_memory_bytes(small_coo):
     # 2 x 4-byte indices + 8-byte value per entry.
     assert small_coo.memory_bytes() == small_coo.nnz * 16
+
+
+def _canonical_reference(rows, cols, vals):
+    """lexsort on (row, col) pairs, then sum runs of equal pairs."""
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    out = {}
+    for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        out[(r, c)] = out.get((r, c), 0.0) + v
+    keys = list(out)
+    return (np.array([k[0] for k in keys]), np.array([k[1] for k in keys]),
+            np.array(list(out.values())))
+
+
+@pytest.mark.parametrize("shape", [(40, 30), (1, 500), (2**40, 2**40)])
+def test_canonical_order_matches_lexsort_reference(shape):
+    rng = np.random.default_rng(shape[1])
+    n = 600  # dense enough in the small shapes to collide often
+    rows = rng.integers(0, min(shape[0], 40), n)
+    cols = rng.integers(0, min(shape[1], 500), n)
+    if shape[0] > 2**31:  # spread over the full range: row-major keys overflow
+        rows = rows * (shape[0] // 40)
+        cols = cols * (shape[1] // 500)
+    vals = rng.integers(1, 5, n).astype(float)  # exact sums in any order
+    coo = COOMatrix(shape, rows, cols, vals)
+    ref_rows, ref_cols, ref_vals = _canonical_reference(rows, cols, vals)
+    np.testing.assert_array_equal(coo.rows, ref_rows)
+    np.testing.assert_array_equal(coo.cols, ref_cols)
+    np.testing.assert_array_equal(coo.vals, ref_vals)

@@ -323,6 +323,25 @@ class TestTieredPredict:
         assert f"recommended format: {fmt} " in tiered
         assert f"centroid #{centroid} " in tiered
 
+    @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+    def test_empty_matrix_tiered_matches_plain_predict(
+        self, model, tmp_path, capsys, symmetry
+    ):
+        """A valid nnz=0 file gets the plain predict answer, escalated."""
+        empty = tmp_path / "empty.mtx"
+        empty.write_text(
+            f"%%MatrixMarket matrix coordinate real {symmetry}\n5 5 0\n"
+        )
+        assert main(["predict", str(empty), "--model", model]) == 0
+        plain = capsys.readouterr().out
+        assert main(["predict", str(empty), "--model", model, "--tiered"]) == 0
+        tiered = capsys.readouterr().out
+        assert "(tier 2," in tiered
+        fmt = plain.split("recommended format:")[1].split()[0]
+        centroid = plain.split("centroid #")[1].split()[0]
+        assert f"recommended format: {fmt} " in tiered
+        assert f"centroid #{centroid} " in tiered
+
     def test_degraded_model_ignores_tiered_flag(self, mtx_file, capsys):
         assert main([
             "predict", mtx_file, "--model", "nope.npz", "--tiered",
